@@ -457,7 +457,6 @@ def _cmd_serve(args) -> int:
         SessionManager,
         render_aggregate_report,
         render_session_table,
-        resolve_scheduler,
         serial_baseline,
         total_records,
     )
@@ -521,19 +520,6 @@ def _cmd_serve(args) -> int:
                 file=sys.stderr,
             )
             return 1
-        try:
-            if resolve_scheduler(args.scheduler) != "calendar":
-                print(
-                    "--spill requires the calendar scheduler (drop "
-                    "--scheduler tasks / REPRO_SCHEDULER=tasks): the "
-                    "legacy task-per-session path retains records by "
-                    "construction",
-                    file=sys.stderr,
-                )
-                return 1
-        except BenchmarkError as error:
-            print(str(error), file=sys.stderr)
-            return 1
     ctx = ExperimentContext(settings)
     workflow_type = WorkflowType(args.workflow_type)
     on_record = None
@@ -577,7 +563,6 @@ def _cmd_serve(args) -> int:
             accel=args.accel,
             speculation=args.speculation,
             on_record=on_record,
-            scheduler=args.scheduler,
             spool=spool,
         )
         shape = (
@@ -602,7 +587,6 @@ def _cmd_serve(args) -> int:
             speculation=args.speculation,
             on_record=on_record,
             policy=args.policy,
-            scheduler=args.scheduler,
             spool=spool,
         )
         print(
@@ -1421,12 +1405,6 @@ def build_parser() -> argparse.ArgumentParser:
                               "retaining it, and report run-level "
                               "aggregates (how 100k+ sessions fit in "
                               "one process; docs/server.md)")
-    p_serve.add_argument("--scheduler", default=None,
-                         choices=["calendar", "tasks"],
-                         help="session scheduler: the event-calendar "
-                              "heap (default) or the legacy "
-                              "task-per-session path; REPRO_SCHEDULER "
-                              "sets the default")
     p_serve.add_argument("--tcp", default=None, metavar="HOST:PORT",
                          help="expose the server over a TCP socket "
                               "instead of serving in-process (port 0 = "

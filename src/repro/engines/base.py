@@ -243,22 +243,23 @@ class Engine:
         and one scheduler task (with its full service history) per query
         ever submitted — memory proportional to *total* load, not current
         load. The session server calls this when a session retires from a
-        constant-memory serving run: every handle whose task is settled
-        (finished or cancelled) and not retained by the engine subclass
-        is forgotten, in both the engine and its scheduler. Returns the
-        number of handles released. The caller promises not to query the
-        released handles again; in the serving stack that holds because a
-        retired session's records are already final.
+        constant-memory serving run: every handle that was cancelled —
+        through :meth:`cancel` (the driver cancels each handle right
+        after evaluating its deadline, and all in-flight ones when its
+        session departs) or by a scheduler group sweep — and is not
+        retained by the engine subclass is forgotten, in both the engine
+        and its scheduler. Returns the number of handles released. A task
+        that merely *finished* is kept: its deadline may still be ahead,
+        and the owning session reads the handle when it gets there.
         """
         retained = self._retained_task_ids()
         released = 0
         for handle, state in list(self._handles.items()):
             if state.task_id in retained:
                 continue
-            settled = self.scheduler.finished_at(
+            if state.cancelled_at is None and not self.scheduler.is_cancelled(
                 state.task_id
-            ) is not None or self.scheduler.is_cancelled(state.task_id)
-            if not settled:
+            ):
                 continue
             del self._handles[handle]
             self.scheduler.release_task(state.task_id)

@@ -2,15 +2,20 @@
 
 IDEBench models interactive exploration as think-time-paced sessions
 issuing concurrent queries (§2.2, §4.4). The serial driver simulates one
-such session at a time; :class:`SessionManager` serves *many at once*
-from a single process, the way a deployed exploration backend would face
-its users. Each session is a :class:`~repro.bench.driver.SessionDriver`
-(the steppable event machine factored out of the serial driver), run as
-an asyncio task and coordinated by a :class:`_VirtualTimeline` that
-grants step turns in **global virtual-time order** — the discrete-event
-merge of all sessions' event queues, with ties broken by session index,
-so a run's event order (and thus its output) is a pure function of its
-inputs.
+such session at a time; the session server serves *many at once* from a
+single process, the way a deployed exploration backend would face its
+users. Each session is a :class:`~repro.bench.driver.SessionDriver` (the
+steppable event machine factored out of the serial driver). One
+event-calendar loop — a heap of ``(event_time, index)`` entries, no task
+per session — grants step turns in **global virtual-time order**: the
+discrete-event merge of all sessions' event queues, with ties broken by
+session index, so a run's event order (and thus its output) is a pure
+function of its inputs.
+
+Two constructors feed that loop. :class:`SessionManager` serves a
+*closed* population: every session arrives at virtual time 0 and stays
+until its workload completes. :class:`OpenSystemManager` serves an
+*open* one: sessions arrive on a seeded schedule and may depart mid-run.
 
 Two engine topologies:
 
@@ -38,9 +43,7 @@ from __future__ import annotations
 
 import asyncio
 import heapq
-import itertools
 import math
-import os
 from dataclasses import dataclass
 from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
@@ -63,40 +66,14 @@ from repro.workflow.generator import WorkflowGenerator
 from repro.workflow.policy import InteractionPolicy, make_policy
 from repro.workflow.spec import WorkflowType
 
-#: Sentinel: session is mid-step or has not declared its next event yet.
-_UNKNOWN = object()
-
-#: Environment variable selecting the step scheduler implementation.
-SCHEDULER_ENV = "REPRO_SCHEDULER"
-#: The event-calendar scheduler: one loop, a heap of (time, index)
-#: entries, O(log N) per grant. The default.
-SCHEDULER_CALENDAR = "calendar"
-#: The legacy task-per-session scheduler, kept for A/B equivalence runs.
-SCHEDULER_TASKS = "tasks"
-
-#: Entries a trace ring keeps when ``trace_capture=True`` (satellite of
-#: the event-calendar work: an always-growing trace list at 10⁵ sessions
-#: is a memory leak, so capture is opt-in and bounded).
+#: Entries a trace ring keeps when ``trace_capture=True`` (an
+#: always-growing trace list at 10⁵ sessions is a memory leak, so capture
+#: is opt-in and bounded).
 DEFAULT_TRACE_CAPACITY = 65536
 
-
-def resolve_scheduler(choice: Optional[str] = None) -> str:
-    """Resolve the scheduler implementation to use.
-
-    Explicit ``choice`` wins; otherwise the ``REPRO_SCHEDULER``
-    environment variable; otherwise the calendar. Both managers run
-    either implementation and produce byte-identical output (pinned by
-    tests/test_scheduler_equivalence.py against the golden corpus).
-    """
-    value = choice if choice is not None else os.environ.get(
-        SCHEDULER_ENV, SCHEDULER_CALENDAR
-    )
-    if value not in (SCHEDULER_CALENDAR, SCHEDULER_TASKS):
-        raise BenchmarkError(
-            f"unknown scheduler {value!r} "
-            f"(choose {SCHEDULER_CALENDAR!r} or {SCHEDULER_TASKS!r})"
-        )
-    return value
+#: Calendar slot of the arrival stream — below every session index, so
+#: at equal virtual times arrivals are admitted before anyone steps.
+_ARRIVALS = -1
 
 
 def _make_trace_ring(trace_capture: Union[bool, int]) -> Optional[RingBuffer]:
@@ -124,12 +101,12 @@ class SessionTurnHook:
     """Per-session pacing hook for externally driven (remote) sessions.
 
     The session server's wire-level turn protocol plugs in here: every
-    callback is awaited **while the session holds the global virtual
-    timeline**, so whatever the hook does (send a TURN_GRANT frame,
-    stream records, wait for the client's TURN_DONE) cannot reorder the
-    global event sequence — a slow remote frontend stalls virtual time
-    for everyone, it never corrupts it. A run with no-op hooks is
-    byte-identical to a run without hooks.
+    callback is awaited **while the session holds the calendar's turn**,
+    so whatever the hook does (send a TURN_GRANT frame, stream records,
+    wait for the client's TURN_DONE) cannot reorder the global event
+    sequence — a slow remote frontend stalls virtual time for everyone,
+    it never corrupts it. A run with no-op hooks is byte-identical to a
+    run without hooks.
 
     Any callback may raise :class:`SessionAbandoned` to retire the
     session mid-run (the manager then cancels its in-flight queries and,
@@ -148,7 +125,7 @@ class SessionTurnHook:
         )
 
     async def on_turn(self, event_time: float) -> None:
-        """Called after the session won the timeline, before it steps."""
+        """Called after the session won the calendar, before it steps."""
 
     async def on_step(self, event_time: float, records) -> None:
         """Called after the step, with the records it produced; return
@@ -156,87 +133,103 @@ class SessionTurnHook:
         acknowledged)."""
 
 
-class _VirtualTimeline:
-    """Grants step turns in global (time, session index) order.
+class _Live:
+    """One admitted session on the calendar: a flyweight, no coroutine."""
 
-    Every session task declares its next event time, then awaits its
-    turn; the turn goes to the globally minimal ``(time, index)`` pair,
-    but only once *every* live session has declared — a session that is
-    mid-step (or about to re-declare) holds the timeline, because its
-    next event might precede everyone else's. Exactly one session steps
-    at a time, and the grant order is deterministic.
+    __slots__ = ("index", "spec", "driver", "departure_time", "hook")
 
-    Wakeups are *targeted*: a grant sets only the winning session's
-    event (one wakeup per grant, counted on :attr:`wakeups`), never a
-    herd-waking ``notify_all`` that schedules every waiter just so N−1
-    of them can re-scan and sleep again. Grant evaluation happens only
-    when the declared set actually changes — a declare completing it, or
-    a retire shrinking it — and all state mutation is synchronous within
-    one event-loop step, so no lock is needed.
-    """
+    def __init__(self, index, spec, driver, departure_time, hook):
+        self.index = index
+        self.spec = spec
+        self.driver = driver
+        self.departure_time = departure_time
+        self.hook = hook
 
-    def __init__(self, pacer: Optional[AsyncClock] = None):
-        self._declared: Dict[int, object] = {}
-        self._events: Dict[int, asyncio.Event] = {}
-        self._pacer = pacer
-        #: Waiter wakeups signalled so far — exactly one per grant. The
-        #: regression test pins this to the grant count (O(1) per step).
-        self.wakeups = 0
 
-    def register(self, index: int) -> None:
-        """Pre-register a session so no grants happen before it declares."""
-        self._declared[index] = _UNKNOWN
-
-    async def acquire(self, index: int, event_time: float) -> None:
-        """Declare the session's next event and wait for its turn."""
-        self._declared[index] = event_time
-        event = self._events.get(index)
-        if event is None:
-            event = self._events[index] = asyncio.Event()
-        event.clear()
-        self._maybe_grant()
-        await event.wait()
-        # Hold the timeline while stepping: nobody else may be granted
-        # until this session declares its *next* event (or retires),
-        # since that event could be earlier than any other pending one.
-        self._declared[index] = _UNKNOWN
-        if self._pacer is not None:
-            await self._pacer.sleep_until(event_time)
-
-    def _maybe_grant(self) -> None:
-        best: Optional[Tuple[float, int]] = None
-        for key, value in self._declared.items():
-            if value is _UNKNOWN:
-                return
-            if best is None or (value, key) < best:
-                best = (value, key)
-        if best is not None:
-            self.wakeups += 1
-            self._events[best[1]].set()
-
-    async def retire(self, index: int) -> None:
-        """Remove a finished session from the timeline."""
-        self._declared.pop(index, None)
-        self._events.pop(index, None)
-        self._maybe_grant()
+def _timeseries_record(session_id: str, record) -> None:
+    """Metric-stream subscriber folding evaluated deadlines into the
+    global windowed series (spool mode feeds through the aggregate
+    instead — see :class:`~repro.server.spool.ServingAggregate`)."""
+    series = get_timeseries()
+    if series.enabled:
+        series.observe_record(
+            record.end_time,
+            record.tr_violated,
+            latency=record.end_time - record.start_time,
+        )
 
 
 class _ManagerCore:
-    """Plumbing shared by the closed- and open-system managers.
+    """The one serving loop behind both managers.
 
-    Holds the opt-in bounded step trace and the per-grant side-effect
-    sequence, which must be byte-identical under both schedulers and
-    both managers (the golden corpus pins the tracer event order).
+    Sessions enter as a stream of :class:`SessionArrival` entries (a
+    closed population is every session at vt 0 with no departure) and
+    live as :class:`_Live` flyweights keyed by index. One heap holds
+    ``(event_time, index)`` entries — each live session's next event
+    plus, while arrivals remain, one entry at slot :data:`_ARRIVALS` —
+    so granting a turn is one heap pop, O(log N). Turn hooks,
+    :class:`SessionAbandoned` and ``wait_input`` are per-session
+    options of the same loop.
+
+    Subclasses supply the population: ``_arrivals()`` (an iterator of
+    :class:`SessionArrival` in time order), ``_new_session(i)`` (spec
+    and policy of session *i*) and ``_new_engine(i)`` (session *i*'s
+    isolated engine).
     """
 
-    shared: bool
-    _shared_engine = None
-    _trace_ring: Optional[RingBuffer]
+    #: Whether admissions are announced: an ``"arrival"`` trace mark, a
+    #: ``manager.arrival`` event and ``repro_sessions_spawned_total``.
+    #: Mid-run arrivals are; a closed population at vt 0 is not.
+    _announce_arrivals = False
 
+    def _setup(
+        self,
+        oracle,
+        settings: BenchmarkSettings,
+        *,
+        engine,
+        accel: Optional[float],
+        on_record: Optional[Callable[[str, QueryRecord], None]],
+        trace_capture: Union[bool, int],
+        spool: Optional[RecordSpool],
+        turn_hooks: Optional[Dict[int, SessionTurnHook]] = None,
+    ) -> None:
+        self.oracle = oracle
+        self.settings = settings
+        self.shared = engine is not None
+        self._shared_engine = engine
+        if self.shared and isinstance(
+            engine.scheduler.policy, WeightedSharingPolicy
+        ):
+            engine.scheduler.set_policy(FairSessionPolicy())
+        self.accel = accel
+        self.spool = spool
+        self.aggregate: Optional[ServingAggregate] = (
+            ServingAggregate() if spool is not None else None
+        )
+        self._hooks: Dict[int, SessionTurnHook] = dict(turn_hooks or {})
+        if spool is not None and self._hooks:
+            raise BenchmarkError(
+                "record spooling is incompatible with turn hooks: the "
+                "wire protocol replays retained per-session records"
+            )
+        self._on_record = on_record
+        self.streams: Dict[str, SessionStream] = {}
+        self._trace_ring = _make_trace_ring(trace_capture)
+        self.wall_seconds: float = 0.0
+        #: Session ids whose turn hook raised :class:`SessionAbandoned`.
+        self.abandoned: List[str] = []
+        self._pacer = AsyncClock(accel) if accel is not None else None
+        self._live: Dict[int, _Live] = {}
+        self._results: Dict[int, SessionResult] = {}
+        self._ran = False
+
+    # ------------------------------------------------------------------
     @property
     def trace(self) -> List[Tuple[float, str]]:
-        """Captured ``(virtual time, session id)`` step marks (see
-        ``trace_capture``); empty when capture is off."""
+        """Captured ``(virtual time, label)`` marks — the session id of
+        every granted turn, ``"arrival"`` for every announced admission
+        (see ``trace_capture``); empty when capture is off."""
         if self._trace_ring is None:
             return []
         return list(self._trace_ring)
@@ -245,10 +238,234 @@ class _ManagerCore:
         if self._trace_ring is not None:
             self._trace_ring.append((time, label))
 
+    # ------------------------------------------------------------------
+    def run(self) -> List[SessionResult]:
+        """Serve every session to completion (blocking wrapper)."""
+        return asyncio.run(self.run_async())
+
+    async def run_async(self) -> List[SessionResult]:
+        """Serve the population; results in session-index order.
+
+        Spool mode returns ``[]``: everything observable already went
+        through the spool and :attr:`aggregate`.
+        """
+        if self._ran:
+            raise BenchmarkError(f"{type(self).__name__} can only run once")
+        self._ran = True
+        arrivals = self._arrivals()
+        first = next(arrivals, None)
+        if first is None:
+            return []
+        if self.shared:
+            if not self._shared_engine.is_prepared:
+                self._shared_engine.prepare()
+            # The shared engine lives for the whole serving run (Listing
+            # 1's lifecycle, once per service session, not per workflow).
+            self._shared_engine.workflow_start()
+        started = perf_seconds()
+        await self._serve(first, arrivals)
+        series = get_timeseries()
+        if series.enabled:
+            series.finalize()
+        self.wall_seconds = perf_seconds() - started
+        if self.shared:
+            self._shared_engine.workflow_end()
+            # Confine the serving run's mutation of the caller's engine:
+            # without this, later tasks submitted outside the server would
+            # silently inherit the last-stepped session's group.
+            self._shared_engine.scheduler.set_group(None)
+        if self.spool is not None:
+            return []
+        return [self._results[index] for index in sorted(self._results)]
+
+    async def _serve(
+        self, pending: "SessionArrival", arrivals: Iterator["SessionArrival"]
+    ) -> None:
+        """The calendar loop: merge the arrival stream with live sessions."""
+        heap: List[Tuple[float, int]] = [(pending.arrival_time, _ARRIVALS)]
+        while heap:
+            event_time, index = heapq.heappop(heap)
+            if self._pacer is not None:
+                await self._pacer.sleep_until(event_time)
+            if index == _ARRIVALS:
+                # Admit everything arriving at this instant before any of
+                # it declares: a closed population is one batch at vt 0.
+                batch = []
+                while pending is not None and pending.arrival_time == event_time:
+                    batch.append(self._admit(pending))
+                    pending = next(arrivals, None)
+                for session in batch:
+                    await self._declare(session, heap, now=event_time)
+                if pending is not None:
+                    heapq.heappush(heap, (pending.arrival_time, _ARRIVALS))
+                continue
+            session = self._live[index]
+            driver = session.driver
+            hook = session.hook
+            self._turn_granted(
+                event_time, session.spec.session_id, queue_depth=len(heap)
+            )
+            try:
+                if hook is None:
+                    driver.step()
+                else:
+                    await hook.on_turn(event_time)
+                    records = driver.step()
+                    await hook.on_step(event_time, records)
+            except SessionAbandoned:
+                self._retire(session, now=event_time, abandoned=True)
+                continue
+            await self._declare(session, heap, now=event_time)
+
+    def _admit(self, arrival: "SessionArrival") -> _Live:
+        """Create an arriving session: stream, engine, driver."""
+        if self._announce_arrivals:
+            self._trace_mark(arrival.arrival_time, "arrival")
+        spec, policy = self._new_session(arrival.index)
+        stream = SessionStream(spec.session_id, retain=self.spool is None)
+        if self._on_record is not None:
+            stream.subscribe(self._on_record)
+        if self.spool is not None:
+            stream.subscribe(self.spool.append)
+            stream.subscribe(self.aggregate.observe_record)
+        else:
+            stream.subscribe(_timeseries_record)
+        self.streams[spec.session_id] = stream
+        if self.shared:
+            engine = self._shared_engine
+        else:
+            engine = self._new_engine(arrival.index)
+            if not engine.is_prepared:
+                engine.prepare()
+        # The session's virtual life starts at its arrival instant.
+        # Arrivals hold the globally minimal calendar slot, so advancing
+        # the engine clock here is monotone for every live session.
+        if engine.clock.now() < arrival.arrival_time:
+            engine.clock.advance_to(arrival.arrival_time)
+            engine.advance_to(arrival.arrival_time)
+        driver = SessionDriver(
+            engine,
+            self.oracle,
+            self.settings,
+            list(spec.workflows) if policy is None else [],
+            session_id=spec.session_id,
+            lifecycle=not self.shared,
+            on_record=stream.push,
+            policy=policy,
+        )
+        if self._announce_arrivals:
+            tracer = get_tracer()
+            if tracer.enabled:
+                tracer.event(
+                    "manager.arrival",
+                    arrival.arrival_time,
+                    session=spec.session_id,
+                )
+                get_metrics().counter(
+                    "repro_sessions_spawned_total",
+                    help="Open-system sessions spawned mid-run.",
+                ).inc()
+        if self.aggregate is not None:
+            self.aggregate.session_started()
+        series = get_timeseries()
+        if series.enabled:
+            series.session_started(arrival.arrival_time)
+        session = _Live(
+            arrival.index,
+            spec,
+            driver,
+            arrival.departure_time,
+            self._hooks.get(arrival.index),
+        )
+        self._live[arrival.index] = session
+        return session
+
+    async def _declare(
+        self, session: _Live, heap: List[Tuple[float, int]], now: float
+    ) -> None:
+        """Resolve input stalls, then queue the session's next event —
+        or retire it (finished, departed or abandoned)."""
+        driver = session.driver
+        if session.hook is not None:
+            try:
+                # An externally sourced session may be stalled on the
+                # think-time grid (PENDING). It holds the calendar —
+                # nobody advances — until its frontend supplies the
+                # interaction: remote think time blocks virtual time for
+                # everyone, exactly like a large think-time gap would,
+                # and never reorders events.
+                while driver.needs_input:
+                    with get_profiler().stage(STAGE_PENDING_STALL):
+                        await session.hook.wait_input(driver)
+            except SessionAbandoned:
+                self._retire(session, now=now, abandoned=True)
+                return
+        event_time = driver.next_event_time()
+        if event_time is not None and event_time < session.departure_time:
+            heapq.heappush(heap, (event_time, session.index))
+            return
+        # A remaining event at/past the departure instant means the user
+        # walked away mid-workload.
+        self._retire(session, now=now, departed=event_time is not None)
+
+    def _retire(
+        self,
+        session: _Live,
+        now: float,
+        departed: bool = False,
+        abandoned: bool = False,
+    ) -> None:
+        del self._live[session.index]
+        spec, driver = session.spec, session.driver
+        if departed:
+            tracer = get_tracer()
+            if tracer.enabled:
+                tracer.event(
+                    "manager.depart",
+                    session.departure_time,
+                    session=spec.session_id,
+                )
+        if departed or abandoned:
+            # Cancel the session's in-flight queries (never evaluated —
+            # the departed user never saw them) and, on a shared engine,
+            # sweep its whole scheduler group so ghost load cannot skew
+            # the survivors.
+            driver.abandon()
+            if self.shared:
+                self._shared_engine.scheduler.cancel_group(spec.session_id)
+        if abandoned:
+            self.abandoned.append(spec.session_id)
+        series = get_timeseries()
+        if series.enabled:
+            # Folded at the global processing instant (monotone), even
+            # for departures whose nominal instant lies earlier.
+            series.session_finished(now)
+        if self.spool is None:
+            self._results[session.index] = SessionResult(
+                spec,
+                self.streams[spec.session_id].records,
+                interaction_counts=dict(driver.interaction_counts),
+                departed_at=session.departure_time if departed else None,
+                steps=driver.steps,
+            )
+            return
+        # Constant-memory mode: fold the session's footprint into the
+        # aggregate, then free everything it owned — stream, driver and
+        # (isolated mode) its whole engine go with it; a shared engine
+        # sheds its settled scheduler tasks and handles.
+        self.aggregate.session_finished(
+            driver.steps,
+            dict(driver.interaction_counts),
+            departed=departed,
+        )
+        del self.streams[spec.session_id]
+        if self.shared:
+            self._shared_engine.release_settled()
+
     def _turn_granted(
         self, event_time: float, session_id: str, queue_depth: int = 0
     ) -> None:
-        """Per-grant side effects, identical under both schedulers."""
+        """Per-grant side effects (the golden corpus pins their order)."""
         self._trace_mark(event_time, session_id)
         tracer = get_tracer()
         if tracer.enabled:
@@ -270,21 +487,52 @@ class _ManagerCore:
             self._shared_engine.scheduler.set_group(session_id)
 
 
-def _timeseries_record(session_id: str, record) -> None:
-    """Metric-stream subscriber folding evaluated deadlines into the
-    global windowed series (spool mode feeds through the aggregate
-    instead — see :class:`~repro.server.spool.ServingAggregate`)."""
-    series = get_timeseries()
-    if series.enabled:
-        series.observe_record(
-            record.end_time,
-            record.tr_violated,
-            latency=record.end_time - record.start_time,
+def _serving_context(
+    ctx,
+    engine_name: str,
+    *,
+    policy: Optional[str],
+    per_session: int,
+    workflow_type: WorkflowType,
+    speculation: bool,
+    normalized: bool,
+):
+    """What both ``for_engine`` constructors derive from a context.
+
+    Returns the shared oracle, the session factory (:func:`make_session`
+    over one shared policy generator) and a fresh-engine factory over
+    the context's shared dataset.
+    """
+    from repro.bench.experiments import make_engine
+
+    settings = ctx.settings
+    dataset = ctx.dataset(settings.data_size, normalized)
+    oracle = ctx.oracle(settings.data_size, normalized)
+    generator = shared_policy_generator(ctx) if policy is not None else None
+
+    def session_factory(index: int):
+        return make_session(
+            ctx,
+            index,
+            per_session=per_session,
+            workflow_type=workflow_type,
+            policy=policy,
+            generator=generator,
         )
+
+    def engine_factory():
+        return make_engine(
+            engine_name, dataset, settings, VirtualClock(), speculation
+        )
+
+    return oracle, session_factory, engine_factory
 
 
 class SessionManager(_ManagerCore):
-    """Multiplexes N simulated IDE sessions over shared engine state.
+    """Multiplexes a closed population of N simulated IDE sessions.
+
+    Every session arrives at virtual time 0, in spec order, and stays
+    until its workload completes (or its turn hook abandons it).
 
     Parameters
     ----------
@@ -318,11 +566,6 @@ class SessionManager(_ManagerCore):
         pace their step turns through the hook (the TCP turn protocol);
         a hook raising :class:`SessionAbandoned` retires just that
         session. Abandoned session ids accumulate on :attr:`abandoned`.
-    scheduler:
-        ``"calendar"`` (default, O(log N) heap loop) or ``"tasks"`` (the
-        legacy task-per-session model); ``None`` reads the
-        ``REPRO_SCHEDULER`` environment variable. Both produce the same
-        bytes — see :func:`resolve_scheduler`.
     trace_capture:
         Opt-in step tracing. ``False`` (default) records nothing; ``True``
         keeps the newest :data:`DEFAULT_TRACE_CAPACITY` entries in a
@@ -334,15 +577,13 @@ class SessionManager(_ManagerCore):
         moment they are produced instead of retained, :attr:`aggregate`
         carries the incremental run totals, and :meth:`run_async`
         returns ``[]`` (there are no per-session record lists to build
-        results from). Requires the calendar scheduler; incompatible
-        with ``turn_hooks`` (the TCP layer needs retained records).
+        results from). Incompatible with ``turn_hooks`` (the TCP layer
+        needs retained records).
 
     A manager is single-shot: :meth:`run` (or :meth:`run_async`) may be
     called once; per-session streams are available on :attr:`streams`
     while it runs, results come back as :class:`SessionResult` in spec
-    order. :attr:`trace` records the global step order ``(virtual time,
-    session id)`` for interleaving diagnostics when ``trace_capture`` is
-    enabled.
+    order.
     """
 
     def __init__(
@@ -357,7 +598,6 @@ class SessionManager(_ManagerCore):
         on_record: Optional[Callable[[str, QueryRecord], None]] = None,
         policies: Optional[Sequence[Optional[InteractionPolicy]]] = None,
         turn_hooks: Optional[Dict[int, SessionTurnHook]] = None,
-        scheduler: Optional[str] = None,
         trace_capture: Union[bool, int] = False,
         spool: Optional[RecordSpool] = None,
     ):
@@ -385,63 +625,21 @@ class SessionManager(_ManagerCore):
             raise BenchmarkError(
                 "pass exactly one of engines= (isolated) or engine= (shared)"
             )
-        self.oracle = oracle
-        self.settings = settings
-        self.shared = engine is not None
-        if self.shared:
-            if isinstance(engine.scheduler.policy, WeightedSharingPolicy):
-                engine.scheduler.set_policy(FairSessionPolicy())
-            self._engines = [engine] * len(self._specs)
-            self._shared_engine = engine
-        else:
-            engines = list(engines)
-            if len(engines) != len(self._specs):
-                raise BenchmarkError(
-                    f"{len(self._specs)} sessions need {len(self._specs)} "
-                    f"engines, got {len(engines)}"
-                )
-            self._engines = engines
-            self._shared_engine = None
-        self.accel = accel
-        self._scheduler = resolve_scheduler(scheduler)
-        self.spool = spool
-        self.aggregate: Optional[ServingAggregate] = (
-            ServingAggregate() if spool is not None else None
-        )
-        if spool is not None and self._scheduler == SCHEDULER_TASKS:
+        self._engines = list(engines) if engines is not None else []
+        if engines is not None and len(self._engines) != len(self._specs):
             raise BenchmarkError(
-                "record spooling requires the calendar scheduler "
-                f"({SCHEDULER_ENV}={SCHEDULER_TASKS} cannot spool)"
+                f"{len(self._specs)} sessions need {len(self._specs)} "
+                f"engines, got {len(self._engines)}"
             )
-        if spool is not None and turn_hooks:
-            raise BenchmarkError(
-                "record spooling is incompatible with turn hooks: the "
-                "wire protocol replays retained per-session records"
-            )
-        self.streams: Dict[str, SessionStream] = {}
-        for spec in self._specs:
-            stream = SessionStream(spec.session_id, retain=spool is None)
-            if on_record is not None:
-                stream.subscribe(on_record)
-            if spool is not None:
-                stream.subscribe(spool.append)
-                stream.subscribe(self.aggregate.observe_record)
-            else:
-                stream.subscribe(_timeseries_record)
-            self.streams[spec.session_id] = stream
-        self._trace_ring = _make_trace_ring(trace_capture)
-        self.wall_seconds: float = 0.0
-        #: Session ids whose turn hook raised :class:`SessionAbandoned`.
-        self.abandoned: List[str] = []
-        self._hooks: Dict[int, SessionTurnHook] = dict(turn_hooks or {})
-        unknown = [i for i in self._hooks if not 0 <= i < len(self._specs)]
+        unknown = [i for i in turn_hooks or {} if not 0 <= i < len(self._specs)]
         if unknown:
             raise BenchmarkError(
                 f"turn hooks reference unknown session indexes {unknown!r}"
             )
-        self._pacer = AsyncClock(accel) if accel is not None else None
-        self._timeline = _VirtualTimeline(pacer=self._pacer)
-        self._ran = False
+        self._setup(
+            oracle, settings, engine=engine, accel=accel, on_record=on_record,
+            trace_capture=trace_capture, spool=spool, turn_hooks=turn_hooks,
+        )
 
     # ------------------------------------------------------------------
     @property
@@ -452,247 +650,14 @@ class SessionManager(_ManagerCore):
     def num_sessions(self) -> int:
         return len(self._specs)
 
-    # ------------------------------------------------------------------
-    def run(self) -> List[SessionResult]:
-        """Serve all sessions to completion (blocking wrapper)."""
-        return asyncio.run(self.run_async())
+    def _arrivals(self) -> Iterator["SessionArrival"]:
+        return (SessionArrival(index, 0.0) for index in range(len(self._specs)))
 
-    async def run_async(self) -> List[SessionResult]:
-        """Serve all sessions concurrently; results in spec order."""
-        if self._ran:
-            raise BenchmarkError("a SessionManager can only run once")
-        self._ran = True
-        for engine in self._unique_engines():
-            if not engine.is_prepared:
-                engine.prepare()
-        drivers = [
-            SessionDriver(
-                self._engines[index],
-                self.oracle,
-                self.settings,
-                [] if self._policies[index] is not None else list(spec.workflows),
-                session_id=spec.session_id,
-                lifecycle=not self.shared,
-                on_record=self.streams[spec.session_id].push,
-                policy=self._policies[index],
-            )
-            for index, spec in enumerate(self._specs)
-        ]
-        if self.shared:
-            # The shared engine lives for the whole serving run (Listing
-            # 1's lifecycle, once per service session, not per workflow).
-            self._shared_engine.workflow_start()
-        started = perf_seconds()
-        if self._scheduler == SCHEDULER_TASKS:
-            series = get_timeseries()
-            if series.enabled:
-                for _ in drivers:
-                    series.session_started(0.0)
-            for index in range(len(self._specs)):
-                self._timeline.register(index)
-            await asyncio.gather(
-                *(
-                    self._run_session(index, driver)
-                    for index, driver in enumerate(drivers)
-                )
-            )
-        else:
-            await self._run_calendar(drivers)
-        series = get_timeseries()
-        if series.enabled:
-            series.finalize()
-        self.wall_seconds = perf_seconds() - started
-        if self.shared:
-            self._shared_engine.workflow_end()
-            # Confine the serving run's mutation of the caller's engine:
-            # without this, later tasks submitted outside the server would
-            # silently inherit the last-stepped session's group.
-            self._shared_engine.scheduler.set_group(None)
-        if self.spool is not None:
-            # Constant-memory mode: everything observable already went
-            # through the spool/aggregate; no record lists exist.
-            return []
-        return [
-            SessionResult(
-                spec,
-                self.streams[spec.session_id].records,
-                interaction_counts=dict(driver.interaction_counts),
-                steps=driver.steps,
-            )
-            for spec, driver in zip(self._specs, drivers)
-        ]
+    def _new_session(self, index: int):
+        return self._specs[index], self._policies[index]
 
-    # ------------------------------------------------------------------
-    # Event-calendar scheduler (the default)
-    # ------------------------------------------------------------------
-    async def _run_calendar(self, drivers: List[SessionDriver]) -> None:
-        """One loop, a heap of ``(event_time, index)`` — no per-session task.
-
-        Equivalence with the task scheduler is structural: the legacy
-        timeline fully serializes stepping (a grant happens only when
-        every live session has declared, and exactly the minimal
-        ``(time, index)`` steps), so replaying the same
-        declare → grant → side-effect sequence inline reproduces the
-        identical global order — including hooked (TCP) sessions, whose
-        callbacks are awaited while the calendar holds the turn, exactly
-        as the timeline held it. Granting is the heap pop, O(log N).
-        """
-        heap: List[Tuple[float, int]] = []
-        if self.aggregate is not None:
-            for _ in drivers:
-                self.aggregate.session_started()
-        series = get_timeseries()
-        if series.enabled:
-            # A closed population is all live at vt 0; records fold via
-            # the streams (or the aggregate in spool mode), lifecycle and
-            # turns fold here in the grant loop.
-            for _ in drivers:
-                series.session_started(0.0)
-        # Admission in index order — the same serialized declare order
-        # the task path produces (no grant can precede full declaration).
-        for index, driver in enumerate(drivers):
-            await self._calendar_admit(index, driver, heap)
-        while heap:
-            event_time, index = heapq.heappop(heap)
-            driver = drivers[index]
-            spec = self._specs[index]
-            hook = self._hooks.get(index)
-            if self._pacer is not None:
-                await self._pacer.sleep_until(event_time)
-            self._turn_granted(
-                event_time, spec.session_id, queue_depth=len(heap)
-            )
-            try:
-                if hook is None:
-                    driver.step()
-                else:
-                    await hook.on_turn(event_time)
-                    records = driver.step()
-                    await hook.on_step(event_time, records)
-            except SessionAbandoned:
-                self._calendar_abandon(index, driver, now=event_time)
-                continue
-            await self._calendar_admit(index, driver, heap, now=event_time)
-
-    async def _calendar_admit(
-        self,
-        index: int,
-        driver: SessionDriver,
-        heap: List[Tuple[float, int]],
-        now: float = 0.0,
-    ) -> None:
-        """Resolve input stalls, then declare the session's next event."""
-        hook = self._hooks.get(index)
-        try:
-            if hook is not None:
-                # An externally sourced session may be stalled on the
-                # think-time grid (PENDING). It holds the calendar —
-                # nobody advances — until its frontend supplies the
-                # interaction: remote think time blocks virtual time for
-                # everyone, exactly like a large think-time gap would,
-                # and never reorders events.
-                while driver.needs_input:
-                    with get_profiler().stage(STAGE_PENDING_STALL):
-                        await hook.wait_input(driver)
-        except SessionAbandoned:
-            self._calendar_abandon(index, driver, now=now)
-            return
-        event_time = driver.next_event_time()
-        if event_time is None:
-            self._calendar_finish(index, driver, now=now)
-        else:
-            heapq.heappush(heap, (event_time, index))
-
-    def _calendar_abandon(
-        self, index: int, driver: SessionDriver, now: float = 0.0
-    ) -> None:
-        # Mirror of the task path's SessionAbandoned handler: cancel the
-        # session's in-flight queries and sweep its scheduler group.
-        spec = self._specs[index]
-        driver.abandon()
-        if self.shared:
-            self._shared_engine.scheduler.cancel_group(spec.session_id)
-        self.abandoned.append(spec.session_id)
-        self._calendar_finish(index, driver, now=now)
-
-    def _calendar_finish(
-        self, index: int, driver: SessionDriver, now: float = 0.0
-    ) -> None:
-        series = get_timeseries()
-        if series.enabled:
-            # Folded at the global processing instant, which keeps the
-            # series' virtual-time axis monotone.
-            series.session_finished(now)
-        if self.aggregate is None:
-            return
-        self.aggregate.session_finished(
-            driver.steps, dict(driver.interaction_counts)
-        )
-
-    # ------------------------------------------------------------------
-    async def _run_session(self, index: int, driver: SessionDriver) -> None:
-        # Records flow through the driver's on_record hook (wired to the
-        # session's stream at construction) the moment each deadline is
-        # evaluated — step() is the only delivery path.
-        spec = self._specs[index]
-        hook = self._hooks.get(index)
-        last_event = 0.0
-        try:
-            while True:
-                if hook is not None:
-                    # An externally sourced session may be stalled on the
-                    # think-time grid (PENDING). It holds the timeline
-                    # undeclared — nobody advances — until its frontend
-                    # supplies the interaction: remote think time blocks
-                    # virtual time for everyone, exactly like a large
-                    # think-time gap would, and never reorders events.
-                    while driver.needs_input:
-                        with get_profiler().stage(STAGE_PENDING_STALL):
-                            await hook.wait_input(driver)
-                event_time = driver.next_event_time()
-                if event_time is None:
-                    break
-                await self._timeline.acquire(index, event_time)
-                last_event = event_time
-                # All other live sessions wait for this grant — the same
-                # count the calendar path reads off its heap.
-                self._turn_granted(
-                    event_time,
-                    spec.session_id,
-                    queue_depth=len(self._timeline._declared) - 1,
-                )
-                if hook is None:
-                    driver.step()
-                else:
-                    await hook.on_turn(event_time)
-                    records = driver.step()
-                    await hook.on_step(event_time, records)
-        except SessionAbandoned:
-            # The remote frontend vanished, timed out, or violated the
-            # turn protocol mid-run. Retire exactly this session: cancel
-            # its in-flight queries (never evaluated — the departed user
-            # never saw them) and, on a shared engine, sweep its whole
-            # scheduler group so ghost load cannot skew the survivors.
-            # Identical to an open-system churn departure at this
-            # session's last event time.
-            driver.abandon()
-            if self.shared:
-                self._shared_engine.scheduler.cancel_group(spec.session_id)
-            self.abandoned.append(spec.session_id)
-        finally:
-            series = get_timeseries()
-            if series.enabled:
-                series.session_finished(last_event)
-            await self._timeline.retire(index)
-
-    def _unique_engines(self) -> List:
-        unique: List = []
-        seen = set()
-        for engine in self._engines:
-            if id(engine) not in seen:
-                seen.add(id(engine))
-                unique.append(engine)
-        return unique
+    def _new_engine(self, index: int):
+        return self._engines[index]
 
     # ------------------------------------------------------------------
     @classmethod
@@ -711,61 +676,40 @@ class SessionManager(_ManagerCore):
         on_record: Optional[Callable[[str, QueryRecord], None]] = None,
         policy: Optional[str] = None,
         turn_hooks: Optional[Dict[int, SessionTurnHook]] = None,
-        scheduler: Optional[str] = None,
         trace_capture: Union[bool, int] = False,
         spool: Optional[RecordSpool] = None,
     ) -> "SessionManager":
         """Build a manager from an :class:`ExperimentContext`.
 
         Sessions get deterministic per-session workflow suites via
-        :func:`session_specs` (scripted and ``replay``) or adaptive
+        :func:`make_session` (scripted and ``replay``) or adaptive
         per-session policies seeded from the same purpose strings
         (``markov``/``uncertainty``); engines come from the engine
         registry over the context's shared dataset.
         """
-        from repro.bench.experiments import make_engine
-
-        settings = ctx.settings
-        dataset = ctx.dataset(settings.data_size, normalized)
-        oracle = ctx.oracle(settings.data_size, normalized)
         if num_sessions < 1:
             raise BenchmarkError(
                 f"need at least one session, got {num_sessions!r}"
             )
-        generator = shared_policy_generator(ctx) if policy is not None else None
-        pairs = [
-            make_session(
-                ctx,
-                index,
-                per_session=per_session,
-                workflow_type=workflow_type,
-                policy=policy,
-                generator=generator,
-            )
-            for index in range(num_sessions)
-        ]
+        oracle, session_factory, engine_factory = _serving_context(
+            ctx, engine_name, policy=policy, per_session=per_session,
+            workflow_type=workflow_type, speculation=speculation,
+            normalized=normalized,
+        )
+        pairs = [session_factory(index) for index in range(num_sessions)]
         specs = [spec for spec, _ in pairs]
         policies = (
             [built for _, built in pairs] if policy is not None else None
         )
-        if share_engine:
-            engine = make_engine(
-                engine_name, dataset, settings, VirtualClock(), speculation
-            )
-            return cls(
-                specs, oracle, settings, engine=engine, accel=accel,
-                on_record=on_record, policies=policies,
-                turn_hooks=turn_hooks, scheduler=scheduler,
-                trace_capture=trace_capture, spool=spool,
-            )
-        engines = [
-            make_engine(engine_name, dataset, settings, VirtualClock(), speculation)
-            for _ in specs
-        ]
+        placement = (
+            {"engine": engine_factory()}
+            if share_engine
+            else {"engines": [engine_factory() for _ in specs]}
+        )
         return cls(
-            specs, oracle, settings, engines=engines, accel=accel,
-            on_record=on_record, policies=policies, turn_hooks=turn_hooks,
-            scheduler=scheduler, trace_capture=trace_capture, spool=spool,
+            specs, oracle, ctx.settings, accel=accel, on_record=on_record,
+            policies=policies, turn_hooks=turn_hooks,
+            trace_capture=trace_capture, spool=spool, **placement,
         )
 
 
@@ -1164,34 +1108,31 @@ class ArrivalProcess:
             produced += 1
 
 
-#: Timeline slot of the arrival spawner — below every session index, so
-#: at equal virtual times the arrival is processed first.
-_SPAWNER = -1
-
-
 class OpenSystemManager(_ManagerCore):
     """Serves an *open system*: sessions arrive and depart mid-run.
 
     Where :class:`SessionManager` steps a fixed population to
-    completion, this manager follows an :class:`ArrivalProcess`: a
-    spawner occupies one slot of the shared :class:`_VirtualTimeline`
-    and, at each scheduled arrival instant, creates the session —
+    completion, this manager follows an :class:`ArrivalProcess`: the
+    arrival stream holds one calendar slot below every session index
+    and, at each scheduled arrival instant, admits the session —
     deterministic per-session seed via
     :func:`~repro.common.rng.derive_session_seed`, scripted suite or
-    adaptive policy via ``session_factory`` — registers it with the
-    timeline and lets it compete for step turns. Sessions whose
-    ``departure_time`` overtakes their next event *abandon*: in-flight
-    queries are cancelled (never evaluated), speculation hints freed,
-    and — on a shared engine — the scheduler's whole session group is
-    cancelled (:meth:`~repro.engines.scheduler.ProcessorSharingScheduler.cancel_group`),
+    adaptive policy via ``session_factory`` — which then competes for
+    step turns. Sessions whose ``departure_time`` overtakes their next
+    event *abandon*: in-flight queries are cancelled (never evaluated),
+    speculation hints freed, and — on a shared engine — the scheduler's
+    whole session group is cancelled
+    (:meth:`~repro.engines.scheduler.ProcessorSharingScheduler.cancel_group`),
     so ghost load from churned-out users cannot skew the survivors.
 
     Determinism: the schedule is precomputed, every grant follows global
-    ``(time, index)`` order with the spawner below all sessions, and
+    ``(time, index)`` order with arrivals below all sessions, and
     abandonment happens at the departing session's own last event time —
     so a churned run's bytes are a pure function of its configuration,
     invariant to wall pacing (``accel``) and re-invocation.
     """
+
+    _announce_arrivals = True
 
     def __init__(
         self,
@@ -1206,7 +1147,6 @@ class OpenSystemManager(_ManagerCore):
         engine=None,
         accel: Optional[float] = None,
         on_record: Optional[Callable[[str, QueryRecord], None]] = None,
-        scheduler: Optional[str] = None,
         trace_capture: Union[bool, int] = False,
         spool: Optional[RecordSpool] = None,
     ):
@@ -1215,39 +1155,16 @@ class OpenSystemManager(_ManagerCore):
                 "pass exactly one of engine_factory= (isolated) or "
                 "engine= (shared)"
             )
-        self.oracle = oracle
-        self.settings = settings
         self.arrivals = arrivals
-        self.shared = engine is not None
-        self._engine_factory = engine_factory
-        self._shared_engine = engine
-        if self.shared and isinstance(
-            engine.scheduler.policy, WeightedSharingPolicy
-        ):
-            engine.scheduler.set_policy(FairSessionPolicy())
         self._session_factory = session_factory
-        self.accel = accel
-        self._scheduler = resolve_scheduler(scheduler)
-        self.spool = spool
-        self.aggregate: Optional[ServingAggregate] = (
-            ServingAggregate() if spool is not None else None
-        )
-        if spool is not None and self._scheduler == SCHEDULER_TASKS:
-            raise BenchmarkError(
-                "record spooling requires the calendar scheduler "
-                f"({SCHEDULER_ENV}={SCHEDULER_TASKS} cannot spool)"
-            )
-        self._on_record = on_record
-        self.streams: Dict[str, SessionStream] = {}
-        self._trace_ring = _make_trace_ring(trace_capture)
-        self.wall_seconds: float = 0.0
-        self._pacer = AsyncClock(accel) if accel is not None else None
-        self._timeline = _VirtualTimeline(pacer=self._pacer)
-        self._results: Dict[int, SessionResult] = {}
+        self._engine_factory = engine_factory
         #: Materialized only on demand — a constant-memory run never
         #: holds the full arrival schedule (it streams iter_schedule()).
         self._schedule_cache: Optional[List[SessionArrival]] = None
-        self._ran = False
+        self._setup(
+            oracle, settings, engine=engine, accel=accel, on_record=on_record,
+            trace_capture=trace_capture, spool=spool,
+        )
 
     # ------------------------------------------------------------------
     @property
@@ -1257,273 +1174,27 @@ class OpenSystemManager(_ManagerCore):
             self._schedule_cache = self.arrivals.schedule()
         return self._schedule_cache
 
-    # ------------------------------------------------------------------
     def run(self) -> List[SessionResult]:
-        """Serve the whole schedule to completion (blocking wrapper)."""
+        """Serve the whole schedule to completion (blocking wrapper).
+
+        Defined on this class rather than inherited so that per-layer
+        profilers wrapping ``OpenSystemManager.run`` (perfbench's
+        ``server.calendar`` row) find it in the class's own namespace.
+        """
         return asyncio.run(self.run_async())
 
-    async def run_async(self) -> List[SessionResult]:
-        """Serve arrivals as they come; results in arrival order."""
-        if self._ran:
-            raise BenchmarkError("an OpenSystemManager can only run once")
-        self._ran = True
+    def _arrivals(self) -> Iterator[SessionArrival]:
         if self.spool is not None:
             # Constant-memory mode streams the schedule; everything else
             # materializes it once (results come back in arrival order).
-            arrival_iter: Iterator[SessionArrival] = (
-                self.arrivals.iter_schedule()
-            )
-        else:
-            arrival_iter = iter(self.schedule)
-        first = next(arrival_iter, None)
-        if first is None:
-            return []
-        arrival_iter = itertools.chain([first], arrival_iter)
-        if self.shared:
-            if not self._shared_engine.is_prepared:
-                self._shared_engine.prepare()
-            self._shared_engine.workflow_start()
-        started = perf_seconds()
-        if self._scheduler == SCHEDULER_TASKS:
-            tasks: List[asyncio.Task] = []
-            self._timeline.register(_SPAWNER)
-            await self._spawner(tasks)
-            if tasks:
-                await asyncio.gather(*tasks)
-        else:
-            await self._run_calendar(arrival_iter)
-        series = get_timeseries()
-        if series.enabled:
-            series.finalize()
-        self.wall_seconds = perf_seconds() - started
-        if self.shared:
-            self._shared_engine.workflow_end()
-            self._shared_engine.scheduler.set_group(None)
-        if self.spool is not None:
-            return []
-        return [self._results[arrival.index] for arrival in self.schedule]
+            return self.arrivals.iter_schedule()
+        return iter(self.schedule)
 
-    # ------------------------------------------------------------------
-    # Event-calendar scheduler (the default)
-    # ------------------------------------------------------------------
-    async def _run_calendar(
-        self, arrival_iter: Iterator[SessionArrival]
-    ) -> None:
-        """Heap-driven merge of the arrival stream and live sessions.
+    def _new_session(self, index: int):
+        return self._session_factory(index)
 
-        The spawner is one calendar entry at slot :data:`_SPAWNER` (below
-        every session index, so an arrival at an equal instant processes
-        first — the task path's tie-break). Sessions are flyweights:
-        ``(driver, spec, arrival)`` in a dict keyed by index, no
-        coroutine each. A session whose next event would land past its
-        departure time retires immediately, at the exact global order
-        point the task path retires it.
-        """
-        heap: List[Tuple[float, int]] = []
-        live: Dict[int, Tuple[SessionDriver, SessionSpec, SessionArrival]] = {}
-        pending = next(arrival_iter, None)
-        if pending is not None:
-            heapq.heappush(heap, (pending.arrival_time, _SPAWNER))
-        while heap:
-            event_time, index = heapq.heappop(heap)
-            if self._pacer is not None:
-                await self._pacer.sleep_until(event_time)
-            if index == _SPAWNER:
-                arrival = pending
-                self._trace_mark(arrival.arrival_time, "arrival")
-                driver, spec = self._spawn(arrival)
-                tracer = get_tracer()
-                if tracer.enabled:
-                    tracer.event(
-                        "manager.arrival",
-                        arrival.arrival_time,
-                        session=spec.session_id,
-                    )
-                    get_metrics().counter(
-                        "repro_sessions_spawned_total",
-                        help="Open-system sessions spawned mid-run.",
-                    ).inc()
-                if self.aggregate is not None:
-                    self.aggregate.session_started()
-                series = get_timeseries()
-                if series.enabled:
-                    series.session_started(arrival.arrival_time)
-                self._calendar_declare(
-                    arrival, driver, spec, heap, live,
-                    now=arrival.arrival_time,
-                )
-                pending = next(arrival_iter, None)
-                if pending is not None:
-                    heapq.heappush(heap, (pending.arrival_time, _SPAWNER))
-            else:
-                driver, spec, arrival = live[index]
-                self._turn_granted(
-                    event_time, spec.session_id, queue_depth=len(heap)
-                )
-                driver.step()
-                self._calendar_declare(
-                    arrival, driver, spec, heap, live, now=event_time
-                )
-
-    def _calendar_declare(
-        self,
-        arrival: SessionArrival,
-        driver: SessionDriver,
-        spec: SessionSpec,
-        heap: List[Tuple[float, int]],
-        live: Dict[int, Tuple[SessionDriver, SessionSpec, SessionArrival]],
-        now: float = 0.0,
-    ) -> None:
-        """Declare a session's next event, or retire it (done/departed)."""
-        event_time = driver.next_event_time()
-        if event_time is not None and event_time < arrival.departure_time:
-            live[arrival.index] = (driver, spec, arrival)
-            heapq.heappush(heap, (event_time, arrival.index))
-            return
-        live.pop(arrival.index, None)
-        # A remaining event at/past the departure instant means the user
-        # walked away mid-workload (the task path's departure branch).
-        self._retire_session(
-            arrival, driver, spec, departed=event_time is not None, now=now
-        )
-
-    def _retire_session(
-        self,
-        arrival: SessionArrival,
-        driver: SessionDriver,
-        spec: SessionSpec,
-        departed: bool,
-        now: float = 0.0,
-    ) -> None:
-        if departed:
-            tracer = get_tracer()
-            if tracer.enabled:
-                tracer.event(
-                    "manager.depart",
-                    arrival.departure_time,
-                    session=spec.session_id,
-                )
-            driver.abandon()
-            if self.shared:
-                self._shared_engine.scheduler.cancel_group(spec.session_id)
-        series = get_timeseries()
-        if series.enabled:
-            # Folded at the global processing instant (monotone), even
-            # for departures whose nominal instant lies earlier.
-            series.session_finished(now)
-        if self.spool is None:
-            self._results[arrival.index] = SessionResult(
-                spec,
-                self.streams[spec.session_id].records,
-                interaction_counts=dict(driver.interaction_counts),
-                departed_at=arrival.departure_time if departed else None,
-                steps=driver.steps,
-            )
-            return
-        # Constant-memory mode: fold the session's footprint into the
-        # aggregate, then free everything it owned — stream, driver and
-        # (isolated mode) its whole engine go with it; a shared engine
-        # sheds the session's settled scheduler tasks and handles.
-        self.aggregate.session_finished(
-            driver.steps,
-            dict(driver.interaction_counts),
-            departed=departed,
-        )
-        self.streams.pop(spec.session_id, None)
-        if self.shared:
-            self._shared_engine.release_settled()
-
-    # ------------------------------------------------------------------
-    async def _spawner(self, tasks: List[asyncio.Task]) -> None:
-        try:
-            for arrival in self.schedule:
-                await self._timeline.acquire(_SPAWNER, arrival.arrival_time)
-                self._trace_mark(arrival.arrival_time, "arrival")
-                driver, spec = self._spawn(arrival)
-                tracer = get_tracer()
-                if tracer.enabled:
-                    tracer.event(
-                        "manager.arrival",
-                        arrival.arrival_time,
-                        session=spec.session_id,
-                    )
-                    get_metrics().counter(
-                        "repro_sessions_spawned_total",
-                        help="Open-system sessions spawned mid-run.",
-                    ).inc()
-                series = get_timeseries()
-                if series.enabled:
-                    series.session_started(arrival.arrival_time)
-                self._timeline.register(arrival.index)
-                tasks.append(
-                    asyncio.ensure_future(
-                        self._run_session(arrival, driver, spec)
-                    )
-                )
-        finally:
-            await self._timeline.retire(_SPAWNER)
-
-    def _spawn(self, arrival: SessionArrival):
-        spec, policy = self._session_factory(arrival.index)
-        stream = SessionStream(spec.session_id, retain=self.spool is None)
-        if self._on_record is not None:
-            stream.subscribe(self._on_record)
-        if self.spool is not None:
-            stream.subscribe(self.spool.append)
-            stream.subscribe(self.aggregate.observe_record)
-        else:
-            stream.subscribe(_timeseries_record)
-        self.streams[spec.session_id] = stream
-        if self.shared:
-            engine = self._shared_engine
-        else:
-            engine = self._engine_factory()
-            if not engine.is_prepared:
-                engine.prepare()
-        # The session's virtual life starts at its arrival instant. The
-        # spawner holds the globally minimal timeline slot, so advancing
-        # the engine clock here is monotone for every live session.
-        if engine.clock.now() < arrival.arrival_time:
-            engine.clock.advance_to(arrival.arrival_time)
-            engine.advance_to(arrival.arrival_time)
-        driver = SessionDriver(
-            engine,
-            self.oracle,
-            self.settings,
-            list(spec.workflows) if policy is None else [],
-            session_id=spec.session_id,
-            lifecycle=not self.shared,
-            on_record=stream.push,
-            policy=policy,
-        )
-        return driver, spec
-
-    async def _run_session(
-        self, arrival: SessionArrival, driver: SessionDriver, spec: SessionSpec
-    ) -> None:
-        departed = False
-        last_event = arrival.arrival_time
-        try:
-            while True:
-                event_time = driver.next_event_time()
-                if event_time is None:
-                    break
-                if event_time >= arrival.departure_time:
-                    departed = True
-                    break
-                await self._timeline.acquire(arrival.index, event_time)
-                last_event = event_time
-                self._turn_granted(
-                    event_time,
-                    spec.session_id,
-                    queue_depth=len(self._timeline._declared) - 1,
-                )
-                driver.step()
-        finally:
-            self._retire_session(
-                arrival, driver, spec, departed=departed, now=last_event
-            )
-            await self._timeline.retire(arrival.index)
+    def _new_engine(self, index: int):
+        return self._engine_factory()
 
     # ------------------------------------------------------------------
     @classmethod
@@ -1541,7 +1212,6 @@ class OpenSystemManager(_ManagerCore):
         speculation: bool = False,
         normalized: bool = False,
         on_record: Optional[Callable[[str, QueryRecord], None]] = None,
-        scheduler: Optional[str] = None,
         trace_capture: Union[bool, int] = False,
         spool: Optional[RecordSpool] = None,
     ) -> "OpenSystemManager":
@@ -1552,40 +1222,20 @@ class OpenSystemManager(_ManagerCore):
         closed-system session *i* would get, so its workload is
         identical whether it arrives mid-run or starts at time zero.
         """
-        from repro.bench.experiments import make_engine
-
-        settings = ctx.settings
-        dataset = ctx.dataset(settings.data_size, normalized)
-        oracle = ctx.oracle(settings.data_size, normalized)
-        generator = shared_policy_generator(ctx) if policy is not None else None
-
-        def session_factory(index: int):
-            return make_session(
-                ctx,
-                index,
-                per_session=per_session,
-                workflow_type=workflow_type,
-                policy=policy,
-                generator=generator,
-            )
-
-        if share_engine:
-            engine = make_engine(
-                engine_name, dataset, settings, VirtualClock(), speculation
-            )
-            return cls(
-                oracle, settings, arrivals, session_factory,
-                engine=engine, accel=accel, on_record=on_record,
-                scheduler=scheduler, trace_capture=trace_capture,
-                spool=spool,
-            )
+        oracle, session_factory, engine_factory = _serving_context(
+            ctx, engine_name, policy=policy, per_session=per_session,
+            workflow_type=workflow_type, speculation=speculation,
+            normalized=normalized,
+        )
+        placement = (
+            {"engine": engine_factory()}
+            if share_engine
+            else {"engine_factory": engine_factory}
+        )
         return cls(
-            oracle, settings, arrivals, session_factory,
-            engine_factory=lambda: make_engine(
-                engine_name, dataset, settings, VirtualClock(), speculation
-            ),
-            accel=accel, on_record=on_record, scheduler=scheduler,
-            trace_capture=trace_capture, spool=spool,
+            oracle, ctx.settings, arrivals, session_factory, accel=accel,
+            on_record=on_record, trace_capture=trace_capture, spool=spool,
+            **placement,
         )
 
 

@@ -264,41 +264,6 @@ def bench_cell_key(
     )
 
 
-def _cell_from_results(
-    engine: str,
-    sessions: int,
-    mode: str,
-    per_session: int,
-    results: Sequence[SessionResult],
-    wall_seconds: float,
-) -> SessionBenchCell:
-    records = [record for result in results for record in result.records]
-    answered = [r for r in records if not r.tr_violated]
-    latencies = [r.end_time - r.start_time for r in answered]
-    return SessionBenchCell(
-        engine=engine,
-        sessions=sessions,
-        mode=mode,
-        workflows_per_session=per_session,
-        num_queries=len(records),
-        pct_tr_violated=(
-            100.0 * sum(r.tr_violated for r in records) / len(records)
-            if records
-            else float("nan")
-        ),
-        mean_missing_bins=(
-            sum(r.metrics.missing_bins for r in records) / len(records)
-            if records
-            else float("nan")
-        ),
-        mean_latency_answered=(
-            sum(latencies) / len(latencies) if latencies else float("nan")
-        ),
-        virtual_makespan=max((r.end_time for r in records), default=0.0),
-        wall_seconds=wall_seconds,
-    )
-
-
 def _cell_from_aggregate(
     engine: str,
     sessions: int,
@@ -307,13 +272,14 @@ def _cell_from_aggregate(
     aggregate: ServingAggregate,
     wall_seconds: float,
 ) -> SessionBenchCell:
-    """Build a load-report cell from an incremental aggregate.
+    """Build a load-report cell from a :class:`ServingAggregate`.
 
-    Counts and maxima match :func:`_cell_from_results` exactly; the
-    float means fold in record-arrival order instead of grouped-by-
-    session order, so they can differ from the retained path in the
-    last ulp. Incremental cells therefore never enter the artifact
-    store (the cache stays byte-pure).
+    Retained runs fold their results after the run
+    (:meth:`ServingAggregate.from_results`, grouped by session);
+    incremental runs fold live, in record-arrival order. Counts and
+    maxima agree exactly, but the float means can differ in the last
+    ulp, so incremental cells never enter the artifact store (the
+    cache stays byte-pure).
     """
     return SessionBenchCell(
         engine=engine,
@@ -387,16 +353,13 @@ def run_session_bench(
                     spool=RecordSpool() if incremental else None,
                 )
                 results = manager.run()
-                if incremental:
-                    cell = _cell_from_aggregate(
-                        engine_name, sessions, mode, per_session,
-                        manager.aggregate, manager.wall_seconds,
-                    )
-                else:
-                    cell = _cell_from_results(
-                        engine_name, sessions, mode, per_session, results,
-                        manager.wall_seconds,
-                    )
+                aggregate = manager.aggregate or ServingAggregate.from_results(
+                    results
+                )
+                cell = _cell_from_aggregate(
+                    engine_name, sessions, mode, per_session, aggregate,
+                    manager.wall_seconds,
+                )
                 if store is not None and not incremental:
                     store.put(key, cell.payload())
                 cells.append(cell)
@@ -547,45 +510,6 @@ def adaptive_cell_key(
     )
 
 
-def _adaptive_cell(
-    engine: str,
-    policy: str,
-    sessions: int,
-    churn: str,
-    per_session: int,
-    results: Sequence[SessionResult],
-    wall_seconds: float,
-) -> AdaptiveBenchCell:
-    records = [record for result in results for record in result.records]
-    answered = [r for r in records if not r.tr_violated]
-    latencies = [r.end_time - r.start_time for r in answered]
-    counts: dict = {}
-    for result in results:
-        for kind, count in sorted(result.interaction_counts.items()):
-            counts[kind] = counts.get(kind, 0) + count
-    return AdaptiveBenchCell(
-        engine=engine,
-        policy=policy,
-        sessions=sessions,
-        churn=churn,
-        workflows_per_session=per_session,
-        sessions_served=len(results),
-        sessions_departed=sum(r.departed_at is not None for r in results),
-        num_queries=len(records),
-        pct_tr_violated=(
-            100.0 * sum(r.tr_violated for r in records) / len(records)
-            if records
-            else float("nan")
-        ),
-        mean_latency_answered=(
-            sum(latencies) / len(latencies) if latencies else float("nan")
-        ),
-        virtual_makespan=max((r.end_time for r in records), default=0.0),
-        mix=interaction_mix(counts),
-        wall_seconds=wall_seconds,
-    )
-
-
 def _adaptive_cell_from_aggregate(
     engine: str,
     policy: str,
@@ -595,11 +519,9 @@ def _adaptive_cell_from_aggregate(
     aggregate: ServingAggregate,
     wall_seconds: float,
 ) -> AdaptiveBenchCell:
-    """Build an adaptive-report cell from an incremental aggregate.
+    """Build an adaptive-report cell from a :class:`ServingAggregate`.
 
-    Same contract as :func:`_cell_from_aggregate`: integer columns and
-    the interaction mix match :func:`_adaptive_cell` exactly, float
-    means fold in record-arrival order.
+    Same contract as :func:`_cell_from_aggregate`.
     """
     return AdaptiveBenchCell(
         engine=engine,
@@ -704,16 +626,13 @@ def run_adaptive_bench(
                     )
                 results = manager.run()
                 wall = manager.wall_seconds
-                if incremental:
-                    cell = _adaptive_cell_from_aggregate(
-                        engine, policy, sessions, churn, per_session,
-                        manager.aggregate, wall,
-                    )
-                else:
-                    cell = _adaptive_cell(
-                        engine, policy, sessions, churn, per_session,
-                        results, wall,
-                    )
+                aggregate = manager.aggregate or ServingAggregate.from_results(
+                    results
+                )
+                cell = _adaptive_cell_from_aggregate(
+                    engine, policy, sessions, churn, per_session, aggregate,
+                    wall,
+                )
                 if store is not None and not incremental:
                     store.put(key, cell.payload())
                 cells.append(cell)

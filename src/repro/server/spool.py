@@ -148,18 +148,31 @@ class ServingAggregate:
         self.active_sessions = 0
         self.peak_active = 0
 
+    @classmethod
+    def from_results(cls, results) -> "ServingAggregate":
+        """Fold retained session results after the run.
+
+        Session by session, record by record — the order a retained
+        run's per-session record lists sum in. Side-effect free: unlike
+        the live hooks, it never feeds the windowed series a second
+        time. The concurrency fields (``active_sessions``,
+        ``peak_active``) stay 0; a post-run fold cannot observe them.
+        """
+        aggregate = cls()
+        for result in results:
+            for record in result.records:
+                aggregate.fold_record(record)
+            aggregate.fold_session(
+                result.steps,
+                result.interaction_counts,
+                departed=result.departed_at is not None,
+            )
+        return aggregate
+
     # -- folding hooks --------------------------------------------------
     def observe_record(self, session_id: str, record) -> None:
         """Fold one evaluated record (metric-stream subscriber)."""
-        self.num_queries += 1
-        if record.tr_violated:
-            self.tr_violations += 1
-        else:
-            self.latency_sum += record.end_time - record.start_time
-            self.answered += 1
-        self.missing_bins_sum += record.metrics.missing_bins
-        if record.end_time > self.virtual_makespan:
-            self.virtual_makespan = record.end_time
+        self.fold_record(record)
         series = get_timeseries()
         if series.enabled:
             # In spool mode the aggregate is the record fan-out point, so
@@ -169,6 +182,18 @@ class ServingAggregate:
                 record.tr_violated,
                 latency=record.end_time - record.start_time,
             )
+
+    def fold_record(self, record) -> None:
+        """Fold one record into the totals (no telemetry side effects)."""
+        self.num_queries += 1
+        if record.tr_violated:
+            self.tr_violations += 1
+        else:
+            self.latency_sum += record.end_time - record.start_time
+            self.answered += 1
+        self.missing_bins_sum += record.metrics.missing_bins
+        if record.end_time > self.virtual_makespan:
+            self.virtual_makespan = record.end_time
 
     def session_started(self) -> None:
         self.active_sessions += 1
@@ -183,6 +208,15 @@ class ServingAggregate:
     ) -> None:
         """Fold a finished session's footprint, then let it be freed."""
         self.active_sessions -= 1
+        self.fold_session(steps, interaction_counts, departed)
+
+    def fold_session(
+        self,
+        steps: int,
+        interaction_counts: Dict[str, int],
+        departed: bool = False,
+    ) -> None:
+        """Fold one session's footprint into the totals."""
         self.sessions_served += 1
         if departed:
             self.sessions_departed += 1

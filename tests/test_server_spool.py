@@ -103,15 +103,6 @@ class TestRecordSpool:
         with pytest.raises(BenchmarkError):
             list(iter_spool(path))
 
-    def test_spool_requires_calendar_scheduler(self, server_ctx):
-        with pytest.raises(BenchmarkError):
-            SessionManager.for_engine(
-                server_ctx, "idea-sim", 2, per_session=1,
-                spool=RecordSpool(), scheduler="tasks",
-            )
-        with pytest.raises(BenchmarkError):
-            _open_manager(server_ctx, spool=RecordSpool(), scheduler="tasks")
-
 
 class TestServingAggregate:
     def test_open_system_aggregate_matches_retained(self, server_ctx):
@@ -141,6 +132,43 @@ class TestServingAggregate:
         manager = _open_manager(server_ctx, spool=RecordSpool())
         manager.run()
         assert manager.streams == {}
+
+    @pytest.mark.parametrize("churn", ["closed", "open"])
+    def test_blocking_shared_engine_keeps_unevaluated_handles(
+        self, server_ctx, churn
+    ):
+        """A retiring session must not release a live session's handle.
+
+        On a blocking engine a query can finish well before its
+        deadline; the owning session still reads the handle when the
+        deadline comes, so releasing it on another session's retirement
+        would fail that evaluation.
+        """
+        def run(spool):
+            if churn == "closed":
+                manager = SessionManager.for_engine(
+                    server_ctx, "monetdb-sim", 6, per_session=1,
+                    share_engine=True, spool=spool,
+                )
+            else:
+                manager = OpenSystemManager.for_engine(
+                    server_ctx, "monetdb-sim",
+                    ArrivalProcess(
+                        1.0, 30.0, seed=server_ctx.settings.seed,
+                        mean_residence=5.0, max_sessions=20,
+                    ),
+                    per_session=1, share_engine=True, spool=spool,
+                )
+            return manager, manager.run()
+
+        spooled, _ = run(RecordSpool())
+        _, results = run(None)
+        records = [rec for r in results for rec in r.records]
+        assert spooled.streams == {}
+        assert spooled.aggregate.num_queries == len(records)
+        assert spooled.aggregate.tr_violations == sum(
+            r.tr_violated for r in records
+        )
 
     def test_shared_engine_sheds_settled_state(self, server_ctx):
         spooled = _open_manager(

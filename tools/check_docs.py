@@ -120,7 +120,7 @@ REQUIRED_SECTIONS = {
         "byte-identical across repeated invocations",
         "cancel_group",
         "tools/regen_golden.py",
-        "REPRO_SCHEDULER",
+        "one calendar for both populations",
         "src/repro/server/spool.py",
         "iter_spool",
         "O(active sessions)",
